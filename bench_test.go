@@ -9,8 +9,6 @@ package nalix
 // metrics so `go test -bench` output doubles as a results table.
 
 import (
-	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -21,7 +19,6 @@ import (
 	"nalix/internal/keyword"
 	"nalix/internal/nlp"
 	"nalix/internal/obs"
-	"nalix/internal/shard"
 	"nalix/internal/study"
 	"nalix/internal/xmldb"
 	"nalix/internal/xmp"
@@ -316,50 +313,6 @@ func BenchmarkEvalStageScale(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkEvalStageSharded pins the scatter-gather speedup claim: the
-// same five-variable join evaluated through a shard.Store at 1 shard
-// (the single-engine fallback path) and 8 shards (parallel scatter over
-// contiguous Pre-windows, document-order merge). At 1M nodes on a
-// multi-core machine the 8-shard run should be at least ~3x faster
-// than the 1-shard run; on a single-core machine the sharded run only
-// pays goroutine overhead, so the speedup gate is conditioned on
-// GOMAXPROCS (benchguard min_procs). The optional 10M tier generates a
-// ~10.5M-node corpus in-process and is skipped unless NALIX_BENCH_10M=1.
-func BenchmarkEvalStageSharded(b *testing.B) {
-	tr := core.NewTranslator(corpus(), nil)
-	res, err := tr.Translate(`Return the year and title of books published by "Addison-Wesley" after 1991.`)
-	if err != nil || !res.Valid() {
-		b.Fatalf("translate: %v", err)
-	}
-	tiers := []struct {
-		name string
-		doc  func() *xmldb.Document
-	}{
-		{"73k", corpus},
-		{"1M", scaledCorpus},
-	}
-	if os.Getenv("NALIX_BENCH_10M") == "1" {
-		tiers = append(tiers, struct {
-			name string
-			doc  func() *xmldb.Document
-		}{"10M", func() *xmldb.Document { return dataset.Generate(140) }})
-	}
-	for _, sc := range tiers {
-		doc := sc.doc()
-		for _, shards := range []int{1, 8} {
-			st := shard.NewStore(shards, xquery.NewEngine())
-			st.AddDocument(doc)
-			b.Run(fmt.Sprintf("%s-%dshard", sc.name, shards), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := st.Eval(res.Query); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 

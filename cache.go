@@ -25,9 +25,6 @@ type CacheConfig struct {
 	// entries from an older corpus or vocabulary unreachable — so this
 	// only bounds how long dead entries occupy memory.
 	TTL time.Duration
-	// Shards is the per-layer shard count (0 = a concurrency-friendly
-	// default).
-	Shards int
 }
 
 // EnableCache turns on the three-layer query cache:
@@ -53,7 +50,7 @@ func (e *Engine) EnableCache(cfg CacheConfig) {
 	}
 	reg := e.registry()
 	e.transCache = cache.New[string, *core.Result](cache.Config{
-		Name: "translation", MaxBytes: total / 4, TTL: cfg.TTL, Shards: cfg.Shards, Registry: reg,
+		Name: "translation", MaxBytes: total / 4, TTL: cfg.TTL, Registry: reg,
 	}, func(k string, r *core.Result) int64 {
 		// The dominant retained pieces beyond the strings are the parse
 		// tree and the AST; 1KiB covers them for the sentence lengths
@@ -61,13 +58,13 @@ func (e *Engine) EnableCache(cfg CacheConfig) {
 		return int64(len(k)+2*len(r.XQuery)) + 1024
 	})
 	e.planCache = cache.New[string, xquery.Expr](cache.Config{
-		Name: "plan", MaxBytes: total / 4, TTL: cfg.TTL, Shards: cfg.Shards, Registry: reg,
+		Name: "plan", MaxBytes: total / 4, TTL: cfg.TTL, Registry: reg,
 	}, func(k string, _ xquery.Expr) int64 {
 		// AST size tracks query text length closely.
 		return int64(8*len(k)) + 256
 	})
 	e.resultCache = cache.New[string, *Answer](cache.Config{
-		Name: "result", MaxBytes: total / 2, TTL: cfg.TTL, Shards: cfg.Shards, Registry: reg,
+		Name: "result", MaxBytes: total / 2, TTL: cfg.TTL, Registry: reg,
 	}, answerSize)
 	e.flight = cache.NewFlight[*Answer]("ask", reg)
 	e.xq.SetPlanCache(e.planCache)
@@ -99,18 +96,16 @@ func answerSize(k string, a *Answer) int64 {
 }
 
 // resultKey is the result-cache key for one Ask: corpus generation,
-// ontology generation, shard count, resolved document name, canonical
-// sentence. The generations make every corpus or vocabulary mutation an
-// implicit invalidation of all earlier entries; the shard count keys
-// sharded and unsharded runs separately (SetShards also bumps the
-// corpus generation, this makes the topology visible in the key).
+// ontology generation, resolved document name, canonical sentence. The
+// generations make every corpus or vocabulary mutation an implicit
+// invalidation of all earlier entries.
 func (e *Engine) resultKey(docName, english string) string {
 	name := docName
 	if name == "" {
 		name = e.defName
 	}
-	return fmt.Sprintf("c%d|o%d|s%d|%s|%s",
-		e.corpusGen.Load(), e.ont.Generation(), e.Shards(), name, cache.CanonicalQuery(english))
+	return fmt.Sprintf("c%d|o%d|%s|%s",
+		e.corpusGen.Load(), e.ont.Generation(), name, cache.CanonicalQuery(english))
 }
 
 // serveCached returns a copy of a stored answer marked Cached, finishing

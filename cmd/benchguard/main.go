@@ -13,14 +13,11 @@
 // load-generator percentiles) are skipped. A baseline file may also
 // carry a `ratios` array ({"name": A, "other": B, "max_ratio": 1.05})
 // pairing two benchmarks from the same run: A's ns/op must stay within
-// max_ratio of B's, a machine-independent relative-overhead gate. A
-// ratio entry with `min_procs` only applies when the fresh run had at
-// least that many CPUs (read from the `-N` GOMAXPROCS name suffix), so
-// parallel-speedup gates don't fail on small CI runners.
-// Measurements take the MIN
-// ns/op across -count repetitions — the least-noise estimate of the
-// code's true cost — and the `-N` GOMAXPROCS suffix is stripped so
-// baselines are portable across machines.
+// max_ratio of B's, a machine-independent relative-overhead gate.
+// Measurements take the MIN ns/op across -count repetitions — the
+// least-noise estimate of the code's true cost — and the `-N`
+// GOMAXPROCS suffix is stripped so baselines are portable across
+// machines.
 package main
 
 import (
@@ -66,7 +63,6 @@ type baselineFile struct {
 		Name     string  `json:"name"`
 		Other    string  `json:"other"`
 		MaxRatio float64 `json:"max_ratio"`
-		MinProcs int     `json:"min_procs,omitempty"`
 	} `json:"ratios"`
 }
 
@@ -82,7 +78,6 @@ type ratioGate struct {
 	name     string
 	other    string
 	maxRatio float64
-	minProcs int
 	file     string
 }
 
@@ -98,14 +93,9 @@ func run(threshold float64, glob string, outFiles []string) error {
 		return fmt.Errorf("no baselines found under %q", glob)
 	}
 	measured := make(map[string]float64)
-	procs := 1
 	for _, f := range outFiles {
-		p, err := readBenchOutput(f, measured)
-		if err != nil {
+		if err := readBenchOutput(f, measured); err != nil {
 			return err
-		}
-		if p > procs {
-			procs = p
 		}
 	}
 	if len(measured) == 0 {
@@ -135,11 +125,6 @@ func run(threshold float64, glob string, outFiles []string) error {
 			b.name, got, b.nsPerOp, ratio, verdict)
 	}
 	for _, g := range ratios {
-		if g.minProcs > 0 && procs < g.minProcs {
-			fmt.Printf("benchguard: %-40s skipped (ran on %d proc(s), gate needs >= %d)\n",
-				g.name, procs, g.minProcs)
-			continue
-		}
 		got, ok := measured[g.name]
 		other, okOther := measured[g.other]
 		if !ok || !okOther {
@@ -195,7 +180,7 @@ func loadBaselines(glob string) ([]baseline, []ratioGate, error) {
 			if g.Name == "" || g.Other == "" || g.MaxRatio <= 0 {
 				return nil, nil, fmt.Errorf("%s: malformed ratio entry %+v", f, g)
 			}
-			gates = append(gates, ratioGate{name: g.Name, other: g.Other, maxRatio: g.MaxRatio, minProcs: g.MinProcs, file: f})
+			gates = append(gates, ratioGate{name: g.Name, other: g.Other, maxRatio: g.MaxRatio, file: f})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
@@ -212,15 +197,12 @@ var procSuffix = regexp.MustCompile(`-\d+$`)
 //	BenchmarkAsk/traced-4   100   43061 ns/op   [extra metrics...]
 //
 // keeping the minimum ns/op seen per (suffix-stripped) benchmark name.
-// It returns the GOMAXPROCS the run used, read from the name suffix
-// (`go test` omits the suffix entirely on single-proc runs).
-func readBenchOutput(path string, into map[string]float64) (int, error) {
+func readBenchOutput(path string, into map[string]float64) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer f.Close()
-	procs := 1
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
@@ -230,18 +212,13 @@ func readBenchOutput(path string, into map[string]float64) (int, error) {
 		}
 		// fields: name iterations value unit [value unit ...]
 		name := procSuffix.ReplaceAllString(fields[0], "")
-		if m := procSuffix.FindString(fields[0]); m != "" {
-			if p, err := strconv.Atoi(m[1:]); err == nil && p > procs {
-				procs = p
-			}
-		}
 		for i := 3; i < len(fields); i += 2 {
 			if fields[i] != "ns/op" {
 				continue
 			}
 			v, err := strconv.ParseFloat(fields[i-1], 64)
 			if err != nil {
-				return 0, fmt.Errorf("%s: bad ns/op in %q: %w", path, sc.Text(), err)
+				return fmt.Errorf("%s: bad ns/op in %q: %w", path, sc.Text(), err)
 			}
 			if prev, ok := into[name]; !ok || v < prev {
 				into[name] = v
@@ -249,5 +226,5 @@ func readBenchOutput(path string, into map[string]float64) (int, error) {
 			break
 		}
 	}
-	return procs, sc.Err()
+	return sc.Err()
 }

@@ -63,7 +63,6 @@ func main() {
 	self := flag.Bool("self", false, "spin up an in-process server instead of targeting -url")
 	corpus := flag.String("corpus", "bib", "corpus for -self: movies, library, bib or dblp")
 	scale := flag.Int("scale", 1, "corpus scale for -self -corpus dblp (1 ≈ 73k nodes, 14 ≈ 1M, 140 ≈ 10M)")
-	shards := flag.Int("shards", 1, "document shards per -self session; >1 evaluates scatter-gather in parallel")
 	sessions := flag.Int("sessions", runtime.GOMAXPROCS(0), "engine sessions for -self")
 	endpoint := flag.String("endpoint", "ask", "endpoint to drive: ask, translate, query or keyword")
 	question := flag.String("question", `Find all books published by "Addison-Wesley" after 1991.`, "question (or raw XQuery for -endpoint query)")
@@ -78,7 +77,7 @@ func main() {
 	flag.Var(&objectives, "slo", "objective for the -self server, name:availability[:latency] (repeatable; default <endpoint>:99:250ms with -slo-report)")
 	flag.Parse()
 
-	if err := run(*url, *self, *corpus, *scale, *shards, *sessions, *endpoint, *question, *document, *n, *c, *out, *nocache, *sample, *sloReport, objectives); err != nil {
+	if err := run(*url, *self, *corpus, *scale, *sessions, *endpoint, *question, *document, *n, *c, *out, *nocache, *sample, *sloReport, objectives); err != nil {
 		fmt.Fprintln(os.Stderr, "nalix-load:", err)
 		os.Exit(1)
 	}
@@ -93,7 +92,6 @@ type result struct {
 	Requests    int     `json:"requests"`
 	Concurrency int     `json:"concurrency"`
 	Sessions    int     `json:"sessions,omitempty"`
-	Shards      int     `json:"shards,omitempty"`
 	CorpusNodes int     `json:"corpus_nodes,omitempty"`
 	Errors      int     `json:"errors"`
 	LatencyUs   latency `json:"latency_us"`
@@ -113,7 +111,7 @@ type latency struct {
 	Mean float64 `json:"mean"`
 }
 
-func run(url string, self bool, corpus string, scale, shards, sessions int, endpoint, question, document string, n, c int, out string, nocache, sample, sloReport bool, objectives []slo.Objective) error {
+func run(url string, self bool, corpus string, scale, sessions int, endpoint, question, document string, n, c int, out string, nocache, sample, sloReport bool, objectives []slo.Objective) error {
 	if (url == "") == !self {
 		return fmt.Errorf("exactly one of -url or -self is required")
 	}
@@ -137,7 +135,7 @@ func run(url string, self bool, corpus string, scale, shards, sessions int, endp
 			}
 			objectives = append(objectives, obj)
 		}
-		ts, nodes, err := selfServer(corpus, scale, shards, sessions, nocache, sample, objectives)
+		ts, nodes, err := selfServer(corpus, scale, sessions, nocache, sample, objectives)
 		if err != nil {
 			return err
 		}
@@ -145,15 +143,9 @@ func run(url string, self bool, corpus string, scale, shards, sessions int, endp
 		url = ts.URL
 		res.Sessions = sessions
 		res.CorpusNodes = nodes
-		if shards > 1 {
-			res.Shards = shards
-		}
 		res.Command = fmt.Sprintf("go run ./cmd/nalix-load -self -corpus %s -sessions %d -endpoint %s -n %d -c %d", corpus, sessions, endpoint, n, c)
 		if scale > 1 {
 			res.Command += fmt.Sprintf(" -scale %d", scale)
-		}
-		if shards > 1 {
-			res.Command += fmt.Sprintf(" -shards %d", shards)
 		}
 		if sample {
 			res.Command += " -sample"
@@ -308,7 +300,7 @@ func fetchSLO(target string) (json.RawMessage, error) {
 
 // selfServer stands up an in-process server over the named corpus,
 // returning the corpus node count alongside the server.
-func selfServer(corpus string, scale, shards, sessions int, nocache, sample bool, objectives []slo.Objective) (*httptest.Server, int, error) {
+func selfServer(corpus string, scale, sessions int, nocache, sample bool, objectives []slo.Objective) (*httptest.Server, int, error) {
 	if sessions < 1 {
 		sessions = 1
 	}
@@ -325,9 +317,6 @@ func selfServer(corpus string, scale, shards, sessions int, nocache, sample bool
 		e.SetMetricsRegistry(reg)
 		if !nocache {
 			e.EnableCache(nalix.CacheConfig{})
-		}
-		if shards > 1 {
-			e.SetShards(shards)
 		}
 		// One shared, prewarmed document across the session pool: the
 		// scaled corpora are too large to copy per session.

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	nalix-serve [-addr :8080] [-doc file.xml | -corpus movies|library|bib|dblp]
-//	            [-scale 1] [-shards 1]
+//	            [-scale 1]
 //	            [-sessions N] [-slow 500ms] [-slow-stage 250ms] [-access-log path]
 //	            [-sample] [-sample-every 20] [-sample-threshold 0]
 //	            [-slo ask:99.9:250ms] [-slo query:99:100ms]
@@ -51,7 +51,6 @@ type options struct {
 	docPath   string
 	corpus    string
 	scale     int
-	shards    int
 	sessions  int
 	slow      time.Duration
 	slowStage time.Duration
@@ -101,7 +100,6 @@ func main() {
 	flag.StringVar(&opt.docPath, "doc", "", "XML file to serve")
 	flag.StringVar(&opt.corpus, "corpus", "bib", "built-in corpus when -doc is absent: movies, library, bib or dblp")
 	flag.IntVar(&opt.scale, "scale", 1, "corpus scale factor for -corpus dblp (1 ≈ 73k nodes, 14 ≈ 1M, 140 ≈ 10M)")
-	flag.IntVar(&opt.shards, "shards", 1, "document shards per session; >1 evaluates queries scatter-gather in parallel")
 	flag.IntVar(&opt.sessions, "sessions", runtime.GOMAXPROCS(0), "engine sessions (bounds concurrent evaluations)")
 	flag.DurationVar(&opt.slow, "slow", server.DefaultSlowThreshold, "slow-query wall-time threshold (negative disables)")
 	flag.DurationVar(&opt.slowStage, "slow-stage", 0, "slow-query per-stage threshold (0 derives half of -slow; negative disables)")
@@ -142,9 +140,6 @@ func run(opt options) error {
 		// here), which is also where EnableCache binds its counters.
 		if !opt.nocache {
 			e.EnableCache(nalix.CacheConfig{})
-		}
-		if opt.shards > 1 {
-			e.SetShards(opt.shards)
 		}
 		// One shared, prewarmed document: at -scale 14 the corpus is a
 		// million nodes, so per-session copies would multiply load time
@@ -199,8 +194,8 @@ func run(opt options) error {
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	served := make(chan error, 1)
 	go func() { served <- srv.ListenAndServe(opt.addr) }()
-	fmt.Fprintf(os.Stderr, "nalix-serve: serving %s on %s (%d nodes, %d sessions, %d shards, slow >= %v, sampling %v, %d objectives)\n",
-		name, opt.addr, doc.Size(), opt.sessions, opt.shards, opt.slow, opt.sample, len(opt.objectives))
+	fmt.Fprintf(os.Stderr, "nalix-serve: serving %s on %s (%d nodes, %d sessions, slow >= %v, sampling %v, %d objectives)\n",
+		name, opt.addr, doc.Size(), opt.sessions, opt.slow, opt.sample, len(opt.objectives))
 
 	select {
 	case err := <-served:

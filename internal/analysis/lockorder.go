@@ -14,12 +14,12 @@ import (
 // goroutine holding A and waiting for B while another holds B and waits
 // for A.
 //
-// Mutexes are identified by owning struct type and field name
-// (Registry.mu, shard.mu) or by package-level variable name, so two
-// instances of the same type share a node: inconsistent ordering across
-// instances of one type is exactly as much of a hazard as across
-// distinct mutexes, and nesting the same key (a self-edge) is flagged
-// too, since sync.Mutex is not reentrant.
+// Mutexes are identified by owning struct type and field name (e.g.
+// Registry.mu) or by package-level variable name, so two instances of
+// the same type share a node: inconsistent ordering across instances of
+// one type is exactly as much of a hazard as across distinct mutexes,
+// and nesting the same key (a self-edge) is flagged too, since
+// sync.Mutex is not reentrant.
 //
 // Acquisitions are tracked lexically per function (like lockcheck), and
 // propagated one call deep: a call to a same-package function made while

@@ -64,7 +64,7 @@ func pick(t *Tree) []*Node {
 }
 
 // MergeByPre merges Pre-sorted streams into one Pre-sorted slice — the
-// shard-store merge shape: variadic node-slice input, node-slice output.
+// k-way merge shape: variadic node-slice input, node-slice output.
 func MergeByPre(streams ...[]*Node) []*Node {
 	var out []*Node
 	for _, s := range streams {
@@ -73,7 +73,7 @@ func MergeByPre(streams ...[]*Node) []*Node {
 	return out
 }
 
-// Gather concatenates per-shard results.
+// Gather concatenates per-partition results.
 func Gather(parts [][]*Node) []*Node { // want ordercontract "does not state the result order"
 	var out []*Node
 	for _, p := range parts {

@@ -45,6 +45,15 @@ const (
 	// healthTimeout bounds how long /healthz waits for a free session
 	// before declaring the engine unresponsive.
 	healthTimeout = 2 * time.Second
+
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers, so a connection that never finishes them cannot
+	// be held open forever.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes keep-alive connections idle this long. There is
+	// deliberately no write timeout: a cold answer over a million-node
+	// corpus legitimately takes tens of seconds.
+	idleTimeout = 2 * time.Minute
 )
 
 // Config assembles a Server.
@@ -245,7 +254,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.mux = http.NewServeMux()
 	s.routes()
-	s.http = &http.Server{Handler: s.mux}
+	s.http = &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	return s, nil
 }
 

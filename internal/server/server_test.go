@@ -553,6 +553,25 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestServerTimeouts: the http.Server behind Serve bounds how long a
+// client may dawdle over its headers and how long an idle keep-alive
+// connection is held, so slow clients cannot pin connections forever.
+func TestServerTimeouts(t *testing.T) {
+	srv, err := New(Config{Engines: testEngines(t, 1), Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.http.ReadHeaderTimeout; got != readHeaderTimeout || got <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", got, readHeaderTimeout)
+	}
+	if got := srv.http.IdleTimeout; got != idleTimeout || got <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", got, idleTimeout)
+	}
+	if got := srv.http.WriteTimeout; got != 0 {
+		t.Errorf("WriteTimeout = %v, want 0 (cold large answers run long)", got)
+	}
+}
+
 // TestResponseSchemaRoundTrip: the wire schema round-trips, so the CLI's
 // -json output and the server responses stay one shape.
 func TestResponseSchemaRoundTrip(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // NodeKind discriminates the kinds of nodes stored in a Document.
@@ -141,8 +142,11 @@ type Document struct {
 	// planner for equality pushdown: label → normalized value → nodes.
 	byValue map[string]map[string][]*Node
 	// anyValue is a lazily built document-wide value index used to
-	// resolve implicit name tokens: normalized value → nodes.
+	// resolve implicit name tokens: normalized value → nodes. anyOnce
+	// guards the build, so translators sharing a document may resolve
+	// names concurrently.
 	anyValue map[string][]*Node
+	anyOnce  sync.Once
 }
 
 // NormalizeValue canonicalizes a value for equality indexing: trimmed,
@@ -186,8 +190,8 @@ func (d *Document) NodesByLabelValue(label, value string) []*Node {
 	if !ok {
 		if _, present := d.byLabel[label]; !present {
 			// Miss path: an absent label can never have value matches.
-			// Returning early keeps the probe allocation- and write-free
-			// (the scatter path multiplies probes by shard count).
+			// Returning early keeps the probe allocation- and write-free,
+			// so concurrent sessions sharing the document never race.
 			return nil
 		}
 		idx = make(map[string][]*Node)
@@ -205,9 +209,9 @@ func (d *Document) NodesByLabelValue(label, value string) []*Node {
 
 // PrewarmValueIndexes eagerly builds the per-label value index for every
 // label and the document-wide value index, so later NodesByLabelValue /
-// NodesWithValue calls are pure reads. The sharded store calls this once
-// at load time: shard evaluators then probe one shared document from
-// many goroutines without synchronization.
+// NodesWithValue calls are pure reads. nalix.Engine.LoadDocument calls
+// this once at load time: a server's engine sessions then probe one
+// shared document from many goroutines without synchronization.
 func (d *Document) PrewarmValueIndexes() {
 	if d.byValue == nil {
 		d.byValue = make(map[string]map[string][]*Node, len(d.byLabel))
@@ -223,16 +227,7 @@ func (d *Document) PrewarmValueIndexes() {
 		}
 		d.byValue[label] = idx
 	}
-	if d.anyValue == nil {
-		d.anyValue = make(map[string][]*Node)
-		for _, n := range d.nodes {
-			if n.Kind != ElementNode && n.Kind != AttributeNode {
-				continue
-			}
-			key := strings.ToLower(strings.TrimSpace(n.Value()))
-			d.anyValue[key] = append(d.anyValue[key], n)
-		}
-	}
+	d.anyOnce.Do(d.buildAnyValue)
 }
 
 // RootElement returns the top-level element of the document.
@@ -329,19 +324,24 @@ func (d *Document) SubtreeContainsLabel(root *Node, label string, exclude *Node)
 // NodesWithValue returns element and attribute nodes whose atomized value
 // equals (case-insensitively) the given string, in document order. Used to
 // resolve implicit name tokens (Definition 11 of the paper). The
-// underlying index is built once, on first use.
+// underlying index is built once, on first use; concurrent callers are
+// safe.
 func (d *Document) NodesWithValue(value string) []*Node {
-	if d.anyValue == nil {
-		d.anyValue = make(map[string][]*Node)
-		for _, n := range d.nodes {
-			if n.Kind != ElementNode && n.Kind != AttributeNode {
-				continue
-			}
-			key := strings.ToLower(strings.TrimSpace(n.value))
-			d.anyValue[key] = append(d.anyValue[key], n)
-		}
-	}
+	d.anyOnce.Do(d.buildAnyValue)
 	return d.anyValue[strings.ToLower(strings.TrimSpace(value))]
+}
+
+// buildAnyValue builds the document-wide value index behind
+// NodesWithValue; it runs once, under anyOnce.
+func (d *Document) buildAnyValue() {
+	d.anyValue = make(map[string][]*Node)
+	for _, n := range d.nodes {
+		if n.Kind != ElementNode && n.Kind != AttributeNode {
+			continue
+		}
+		key := strings.ToLower(strings.TrimSpace(n.value))
+		d.anyValue[key] = append(d.anyValue[key], n)
+	}
 }
 
 // NodesContainingValue returns element and attribute nodes whose atomized

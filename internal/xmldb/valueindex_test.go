@@ -27,9 +27,8 @@ func TestNodesByLabelValueMissPath(t *testing.T) {
 	}
 	// The miss must not have materialized an index entry: a later probe
 	// for a present label should still work, and repeated misses must not
-	// allocate (the scatter path multiplies probes by shard count, and
-	// write-free misses are what make sharing a document across shard
-	// evaluators race-free).
+	// allocate (write-free misses are what make sharing a document across
+	// engine sessions race-free).
 	allocs := testing.AllocsPerRun(100, func() {
 		if d.NodesByLabelValue("no-such-label", "whatever") != nil {
 			t.Fatal("absent label returned nodes")

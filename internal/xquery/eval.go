@@ -56,16 +56,6 @@ type Engine struct {
 	// scan over every document name.
 	rootDoc map[*xmldb.Node]*xmldb.Document
 
-	// windows, when non-empty, restricts the driving clause of top-level
-	// FLWOR evaluations to a Pre-range per document — the engine then
-	// evaluates one shard's slice of every query (see window.go and
-	// internal/shard). Set via SetEvalWindow before concurrent use.
-	windows map[string]evalWindow
-	// topFLWOR marks the expression of the evaluation in flight when
-	// windows are armed, so evalFLWOR windows only the outermost FLWOR
-	// and never nested ones. Guarded by evalMu like all eval state.
-	topFLWOR *FLWOR
-
 	// planCache, when set via SetPlanCache, memoizes Compile results by
 	// query text. Sound without any invalidation: an Expr is a pure
 	// function of the text (documents are resolved at evaluation time)
@@ -213,13 +203,6 @@ func (e *Engine) evalOne(expr Expr, sp *obs.Span) (Sequence, error) {
 	evalsTotal.Add(1)
 	e.steps = 0
 	e.envUsed = 0 // previous evaluation's frames are dead; reuse them
-	e.topFLWOR = nil
-	if len(e.windows) > 0 {
-		if !e.Shardable(expr) {
-			return nil, fmt.Errorf("%w: %T", ErrNotShardable, expr)
-		}
-		e.topFLWOR = expr.(*FLWOR)
-	}
 	e.tr = nil
 	if sp != nil {
 		e.tr = &evalTrace{}
@@ -445,13 +428,6 @@ type program struct {
 	// partner nodes that produced it (document order positions identify
 	// nodes within one document).
 	structMemo []map[partnerKey]Sequence
-	// drivingIdx is the evaluation-order index of the driving clause (the
-	// original first for-clause — the one an evaluation window restricts),
-	// or -1 when the query has none; drivingDoc names the document it
-	// ranges over. Computed for every program so cached programs work on
-	// windowed and unwindowed engines alike.
-	drivingIdx int
-	drivingDoc string
 }
 
 // partnerKey identifies a structural domain by its resolved partner
@@ -544,16 +520,6 @@ func (e *Engine) flworProgram(f *FLWOR, env0 *env) *program {
 	p.domains = make(map[int]Sequence)
 	p.eqDomains = make(map[int]Sequence)
 	p.structMemo = make([]map[partnerKey]Sequence, len(clauses))
-	p.drivingIdx = -1
-	if v, docName, ok := e.drivingClause(f); ok {
-		for i, cl := range clauses {
-			if cl.Kind == ForClause && cl.Var == v {
-				p.drivingIdx = i
-				p.drivingDoc = docName
-				break
-			}
-		}
-	}
 	if cacheable {
 		if e.progCache == nil || len(e.progCache) >= 256 {
 			e.progCache = make(map[progKey]*program)
@@ -655,12 +621,6 @@ func (e *Engine) evalFLWOR(f *FLWOR, env0 *env) (Sequence, error) {
 	}
 	e.tr.plan(pt0)
 	readyAt := prog.readyAt
-	if f == e.topFLWOR && prog.drivingIdx < 0 {
-		// evalOne vetted the expression with Shardable, so a program
-		// without a driving clause here means the two predicates
-		// diverged — fail loudly rather than return duplicated results.
-		return nil, fmt.Errorf("%w: compiled program has no driving clause", ErrNotShardable)
-	}
 
 	var expand func(i int, cur *env) error
 	expand = func(i int, cur *env) error {
@@ -727,11 +687,6 @@ func (e *Engine) evalFLWOR(f *FLWOR, env0 *env) (Sequence, error) {
 		}
 		ft0 := e.tr.clock()
 		src, err := e.forDomain(prog, i, cur)
-		if err == nil && f == e.topFLWOR && i == prog.drivingIdx {
-			if win, ok := e.windows[prog.drivingDoc]; ok {
-				src = windowSequence(src, win.lo, win.hi)
-			}
-		}
 		e.tr.clause("for", cl.Var, len(src), ft0)
 		if err != nil {
 			return err

@@ -36,7 +36,6 @@ import (
 	"nalix/internal/keyword"
 	"nalix/internal/obs"
 	"nalix/internal/ontology"
-	"nalix/internal/shard"
 	"nalix/internal/xmldb"
 	"nalix/internal/xquery"
 )
@@ -56,13 +55,6 @@ type Engine struct {
 	translators map[string]*core.Translator
 	keywords    map[string]*keyword.Engine
 	defName     string
-
-	// store, when non-nil, evaluates queries scatter-gather across N
-	// Pre-range shards of each document (see SetShards and
-	// internal/shard); e.xq doubles as its fallback engine for queries
-	// that cannot be partitioned, so answers are identical either way.
-	store  *shard.Store
-	shards int
 
 	// rec retains finished traces when tracing is enabled; nil keeps
 	// every query on the untraced, allocation-free path.
@@ -268,53 +260,9 @@ func (e *Engine) LoadDocument(doc *xmldb.Document) {
 	e.addDoc(doc)
 }
 
-// SetShards partitions every loaded (and subsequently loaded) document
-// into n contiguous subtree-granularity shards and evaluates queries
-// scatter-gather across them on a bounded worker pool; n <= 1 restores
-// single-engine evaluation. Answers are byte-identical in either mode —
-// queries whose results cannot be partitioned (order-by, non-FLWOR)
-// fall back to the unsharded engine automatically. This is
-// configuration: call it before querying concurrently.
-func (e *Engine) SetShards(n int) {
-	e.corpusGen.Add(1) // sharded and unsharded runs never share cached results
-	if n <= 1 {
-		e.store = nil
-		e.shards = 1
-		return
-	}
-	e.shards = n
-	e.store = shard.NewStore(n, e.xq)
-	for _, name := range e.Documents() {
-		if d, ok := e.xq.Document(name); ok {
-			e.store.AddDocument(d)
-		}
-	}
-}
-
-// Shards returns the configured shard count (1 when sharding is off).
-func (e *Engine) Shards() int {
-	if e.store == nil {
-		return 1
-	}
-	return e.shards
-}
-
-// evalTraced evaluates a compiled expression, routing through the
-// sharded store when sharding is enabled.
-func (e *Engine) evalTraced(expr xquery.Expr, sp *obs.Span) (xquery.Sequence, error) {
-	if e.store != nil {
-		return e.store.EvalTraced(expr, sp)
-	}
-	return e.xq.EvalTraced(expr, sp)
-}
-
 func (e *Engine) addDoc(doc *xmldb.Document) {
 	e.corpusGen.Add(1)
-	if e.store != nil {
-		e.store.AddDocument(doc) // also registers with e.xq, its fallback
-	} else {
-		e.xq.AddDocument(doc)
-	}
+	e.xq.AddDocument(doc)
 	tr := core.NewTranslator(doc, e.ont)
 	if e.transCache != nil {
 		tr.SetCache(e.transCache)
@@ -334,10 +282,6 @@ func (e *Engine) addDoc(doc *xmldb.Document) {
 // document over an existing name flushes the replaced document's counts
 // automatically.
 func (e *Engine) Close() {
-	if e.store != nil {
-		e.store.FlushStats() // covers e.xq, its fallback engine
-		return
-	}
 	e.xq.FlushStats()
 }
 
@@ -571,7 +515,7 @@ func (e *Engine) askUncached(docName, english string, t *obs.Trace) (*Answer, er
 		return ans, nil
 	}
 	esp := root.Start("eval")
-	seq, err := e.evalTraced(res.Query, esp)
+	seq, err := e.xq.EvalTraced(res.Query, esp)
 	esp.End()
 	if err != nil {
 		err = fmt.Errorf("nalix: evaluating translation: %w", err)
@@ -621,7 +565,7 @@ func (e *Engine) queryWith(xq string, t *obs.Trace) (*Answer, error) {
 		return nil, err
 	}
 	esp := root.Start("eval")
-	seq, err := e.evalTraced(expr, esp)
+	seq, err := e.xq.EvalTraced(expr, esp)
 	esp.End()
 	if err != nil {
 		e.failTrace(t, err)

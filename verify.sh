@@ -27,6 +27,6 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # reps are short enough that one scheduler hiccup lands a ratio gate
 # outside its 5% margin on a contended single-CPU runner.
 BENCHOUT="$(mktemp)"
-go test -run '^$' -bench 'BenchmarkAsk$|BenchmarkAskCached$|BenchmarkEvalStage$|BenchmarkEvalStageScale$|BenchmarkEvalStageSharded$' -benchtime 300x -count 5 . >"$BENCHOUT"
+go test -run '^$' -bench 'BenchmarkAsk$|BenchmarkAskCached$|BenchmarkEvalStage$|BenchmarkEvalStageScale$' -benchtime 300x -count 5 . >"$BENCHOUT"
 go run ./cmd/benchguard -threshold 2 "$BENCHOUT"
 rm -f "$BENCHOUT"
