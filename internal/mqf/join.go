@@ -18,23 +18,10 @@ type Pair struct {
 
 // RelatedPairs produces every meaningfully-related (a, b) pair for two
 // label streams in one pass over the Pre-sorted label indexes, sorted by
-// (A.Pre, B.Pre). It is the holistic structural join underlying Groups
-// and the planner's structural strategy: instead of testing |A|·|B|
-// combinations pairwise, each a-node resolves its MLCA window root with
-// one indexed depth probe and then classifies only the B-nodes inside
-// that window.
-//
-// The enumeration leans on two interval facts of the Pre/Post numbering:
-//
-//   - For every b in the window subtree that is neither an ancestor nor a
-//     descendant of a, LCA(a, b) is exactly the window root w — it cannot
-//     be deeper (w's depth is the maximum LCA depth a forms with any
-//     B-node) and cannot be shallower (both nodes lie inside w's
-//     subtree). So the cousin test collapses to one memoized depth probe
-//     on b's side.
-//   - Ancestor/descendant pairs are always meaningfully related, so they
-//     are emitted without any depth test; ancestors of a above the window
-//     root are walked directly (they can never appear in the window).
+// (A.Pre, B.Pre). It is the holistic structural join underlying Groups:
+// instead of testing |A|·|B| combinations pairwise, each a-node resolves
+// its MLCA window with one indexed depth probe and classifies only the
+// B-nodes inside it (see appendWindow).
 //
 // Two distinct nodes with the same label are never related, so a
 // same-label join is empty and returns nil.
@@ -42,70 +29,19 @@ func (c *Checker) RelatedPairs(labelA, labelB string) []Pair {
 	if labelA == labelB {
 		return nil
 	}
+	lidB := c.LabelID(labelB)
 	as := c.doc.NodesByLabel(labelA)
-	if len(as) == 0 || c.doc.LabelCount(labelB) == 0 {
+	if len(as) == 0 || lidB < 0 {
 		return nil
 	}
 	var out []Pair
-	var checks int64
+	var bs []*xmldb.Node
 	for _, a := range as {
-		dA := c.MLCADepth(a, labelB)
-		if dA < 0 {
-			continue
-		}
-		w := a.AncestorAtDepth(dA)
-		if w == nil {
-			continue
-		}
-		if w != a && !c.isCollectionTop(w) {
-			// Cousin pairs are possible: everything meets exactly at w.
-			// B-ancestors of a at or above w first (they precede the
-			// window in document order), top-down.
-			out = appendAncestorPairs(out, a, labelB, w.Depth)
-			for _, b := range c.doc.Descendants(w, labelB) {
-				checks++
-				switch {
-				case b.IsAncestorOf(a), a.IsAncestorOf(b):
-					out = append(out, Pair{a, b})
-				case c.MLCADepth(b, labelA) == w.Depth:
-					out = append(out, Pair{a, b})
-				}
-			}
-		} else {
-			// The meeting point is a itself or a collection top: cousin
-			// pairs are never meaningful here, and only the
-			// always-related ancestor/descendant pairs survive — so the
-			// window scan is skipped entirely (this is what keeps a join
-			// that only meets at the corpus root from degenerating to
-			// |A|·|B| work).
-			out = appendAncestorPairs(out, a, labelB, a.Depth)
-			for _, b := range c.doc.Descendants(a, labelB) {
-				out = append(out, Pair{a, b})
-			}
+		bs = c.appendWindow(bs[:0], a, lidB)
+		for _, b := range bs {
+			out = append(out, Pair{a, b})
 		}
 	}
-	relatedChecks.Add(checks)
 	structuralPairs.Add(int64(len(out)))
-	return out
-}
-
-// appendAncestorPairs appends (a, p) for every ancestor p of a carrying
-// the given label with p.Depth <= maxDepth (deeper ancestors are the
-// window scan's job), top-down (document order) so the caller's per-a
-// output stays Pre-sorted. Ancestor pairs are always meaningfully
-// related, so no depth test is needed.
-func appendAncestorPairs(out []Pair, a *xmldb.Node, label string, maxDepth int) []Pair {
-	var anc []*xmldb.Node
-	for p := a.Parent; p != nil; p = p.Parent {
-		if p.Depth > maxDepth {
-			continue
-		}
-		if p.Label == label {
-			anc = append(anc, p)
-		}
-	}
-	for i := len(anc) - 1; i >= 0; i-- {
-		out = append(out, Pair{a, anc[i]})
-	}
 	return out
 }

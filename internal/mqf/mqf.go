@@ -10,6 +10,7 @@
 package mqf
 
 import (
+	"slices"
 	"sync"
 
 	"nalix/internal/obs"
@@ -293,53 +294,64 @@ func (c *Checker) RelatedCandidatesByID(u *xmldb.Node, lid int32) []*xmldb.Node 
 	if ok {
 		return out
 	}
-	out = c.relatedCandidates(u, c.labelName(lid))
+	if u.Label == c.labelName(lid) {
+		out = []*xmldb.Node{u}
+	} else {
+		out = c.appendWindow(nil, u, lid)
+	}
 	c.mu.Lock()
 	c.cands[key] = out
 	c.mu.Unlock()
 	return out
 }
 
-func (c *Checker) relatedCandidates(u *xmldb.Node, label string) []*xmldb.Node {
-	if u.Label == label {
-		return []*xmldb.Node{u}
-	}
-	d := c.MLCADepth(u, label)
-	if d < 0 {
-		return nil
-	}
-	w := u.AncestorAtDepth(d)
+// appendWindow appends the nodes labelled lid that are meaningfully
+// related to u (whose own label differs) to out, in document order. It is
+// the one window routine behind RelatedCandidates and RelatedPairs.
+//
+// Let d be u's MLCA depth for the label and w its ancestor-or-self at
+// depth d, the window root. No label node lies strictly between w and u
+// or below u unless w == u: its LCA with u would be deeper than d. So the
+// related nodes are:
+//
+//   - u's label ancestors at or above w: ancestor pairs are always
+//     related, and they precede w's subtree in document order;
+//   - when w == u, every label descendant of u, for the same reason;
+//   - otherwise, the window nodes v (label descendants of w) whose own
+//     MLCA depth for u's label equals w.Depth. Every such v meets u at
+//     exactly w: no deeper, since d is the deepest LCA u forms with any
+//     label node, and no shallower, since both lie below w. So Related's
+//     LCA walk and its probe on u's side are both settled, and one
+//     memoized probe on v's side decides. A window rooted at a collection
+//     top relates nothing, because Related refuses pairs that meet only
+//     there, so it is never scanned.
+func (c *Checker) appendWindow(out []*xmldb.Node, u *xmldb.Node, lid int32) []*xmldb.Node {
+	w := u.AncestorAtDepth(c.MLCADepthByID(u, lid))
 	if w == nil {
-		return nil
+		return out
 	}
-	var out []*xmldb.Node
-	var checks int64
-	// Ancestors of u at or above the window root (including w itself) are
-	// always meaningfully related but never appear in the window scan
-	// below — the window holds only w's proper descendants. Emit them
-	// first, top-down: every such ancestor is an ancestor-or-self of w,
-	// so it precedes w's subtree in document order and the result stays
-	// Pre-sorted (callers hand it straight back as a for-clause binding
-	// sequence, where order is observable).
-	var anc []*xmldb.Node
-	for p := u.Parent; p != nil; p = p.Parent {
-		if p.Depth > w.Depth {
-			continue
-		}
+	label := c.labelName(lid)
+	first := len(out)
+	for p := w; p != nil; p = p.Parent {
 		if p.Label == label {
-			anc = append(anc, p)
+			out = append(out, p)
 		}
 	}
-	for i := len(anc) - 1; i >= 0; i-- {
-		out = append(out, anc[i])
+	slices.Reverse(out[first:])
+	if w == u {
+		return append(out, c.doc.Descendants(w, label)...)
 	}
-	for _, cand := range c.doc.Descendants(w, label) {
-		checks++
-		if c.Related(u, cand) {
-			out = append(out, cand)
+	ulid := c.LabelID(u.Label)
+	if ulid < 0 || c.isCollectionTop(w) {
+		return out
+	}
+	win := c.doc.Descendants(w, label)
+	relatedChecks.Add(int64(len(win)))
+	for _, v := range win {
+		if c.MLCADepthByID(v, ulid) == w.Depth {
+			out = append(out, v)
 		}
 	}
-	relatedChecks.Add(checks)
 	return out
 }
 
@@ -355,7 +367,8 @@ type Group struct {
 // Groups enumerates all meaningful combinations of nodes for the given
 // labels: the MLCAS (Meaningful LCA Structure) of the label sets. It is
 // used by the standalone schema-free query API and by tests; the XQuery
-// evaluator uses RelatedAll as a join filter instead.
+// evaluator instead draws each binding domain from the RelatedCandidates
+// streams of the variable's already-bound mqf partners.
 //
 // The first two labels are joined holistically with RelatedPairs (one
 // pass over the Pre-sorted label streams); further labels extend each

@@ -248,6 +248,12 @@ func (d *Document) Size() int { return len(d.nodes) }
 // not be modified.
 func (d *Document) Nodes() []*Node { return d.nodes }
 
+// Contains reports whether n is a node of this document: one index probe
+// by n's pre-order number, with no walk to the root.
+func (d *Document) Contains(n *Node) bool {
+	return n.Pre >= 0 && n.Pre < len(d.nodes) && d.nodes[n.Pre] == n
+}
+
 // Labels returns the sorted set of distinct element and attribute labels
 // appearing in the document.
 func (d *Document) Labels() []string { return d.labels }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // Parse reads an XML document from r and builds an indexed Document with
@@ -132,87 +133,145 @@ func (b *Builder) Document() *Document {
 // Serialize writes the subtree rooted at n as XML. Text is escaped;
 // attribute children are emitted as attributes.
 func Serialize(w io.Writer, n *Node) error {
-	var write func(n *Node) error
-	write = func(n *Node) error {
-		switch n.Kind {
-		case DocumentNode:
-			for _, c := range n.Children {
-				if err := write(c); err != nil {
-					return err
-				}
-			}
-			return nil
-		case TextNode:
-			return escapeTo(w, n.Data)
-		case AttributeNode:
-			// A bare attribute serializes like an element so results
-			// that project attributes remain well-formed XML.
-			if _, err := fmt.Fprintf(w, "<%s>", n.Label); err != nil {
-				return err
-			}
-			if err := escapeTo(w, n.Data); err != nil {
-				return err
-			}
-			_, err := fmt.Fprintf(w, "</%s>", n.Label)
-			return err
-		default:
-			// ElementNode: the full open/attrs/content/close form below.
-		}
-		if _, err := fmt.Fprintf(w, "<%s", n.Label); err != nil {
-			return err
-		}
-		for _, c := range n.Children {
-			if c.Kind == AttributeNode {
-				if _, err := fmt.Fprintf(w, " %s=\"", c.Label); err != nil {
-					return err
-				}
-				if err := escapeTo(w, c.Data); err != nil {
-					return err
-				}
-				if _, err := io.WriteString(w, "\""); err != nil {
-					return err
-				}
-			}
-		}
-		hasContent := false
-		for _, c := range n.Children {
-			if c.Kind != AttributeNode {
-				hasContent = true
-			}
-		}
-		if !hasContent {
-			_, err := io.WriteString(w, "/>")
-			return err
-		}
-		if _, err := io.WriteString(w, ">"); err != nil {
-			return err
-		}
-		for _, c := range n.Children {
-			if c.Kind == AttributeNode {
-				continue
-			}
-			if err := write(c); err != nil {
-				return err
-			}
-		}
-		_, err := fmt.Fprintf(w, "</%s>", n.Label)
-		return err
-	}
-	return write(n)
+	s := serializer{w: w}
+	s.node(n)
+	s.flush()
+	return s.err
 }
 
 // SerializeString returns the subtree rooted at n as an XML string.
 func SerializeString(n *Node) string {
-	var sb strings.Builder
-	if err := Serialize(&sb, n); err != nil {
-		// Writing to a strings.Builder cannot fail; an error can only
-		// mean xml.EscapeText rejected the content, which Parse would
-		// have refused to produce.
-		panic("xmldb: serializing in-memory tree: " + err.Error())
-	}
-	return sb.String()
+	// Sized from the subtree's text and node count, so a typical entry
+	// is rendered without regrowing the buffer.
+	return string(AppendXML(make([]byte, 0, len(n.value)+16*(n.Post-n.Pre+1)), n))
 }
 
-func escapeTo(w io.Writer, s string) error {
-	return xml.EscapeText(w, []byte(s))
+// AppendXML appends the serialization of the subtree rooted at n to dst
+// and returns the extended buffer, so a caller rendering many nodes can
+// reuse one buffer. The bytes are exactly those Serialize writes.
+func AppendXML(dst []byte, n *Node) []byte {
+	s := serializer{buf: dst}
+	s.node(n)
+	return s.buf
+}
+
+// serializer appends XML to buf. With a writer set, every node written
+// in full is handed to it at once, so write errors surface where they
+// happen; the first one sticks and ends the walk.
+type serializer struct {
+	buf []byte
+	w   io.Writer
+	err error
+}
+
+func (s *serializer) flush() {
+	if s.w == nil || s.err != nil {
+		return
+	}
+	_, s.err = s.w.Write(s.buf)
+	s.buf = s.buf[:0]
+}
+
+func (s *serializer) node(n *Node) {
+	if s.err != nil {
+		return
+	}
+	switch n.Kind {
+	case DocumentNode:
+		for _, c := range n.Children {
+			s.node(c)
+		}
+		return
+	case TextNode:
+		s.buf = appendEscaped(s.buf, n.Data)
+	case AttributeNode:
+		// A bare attribute serializes like an element so results
+		// that project attributes remain well-formed XML.
+		s.buf = append(append(append(s.buf, '<'), n.Label...), '>')
+		s.buf = appendEscaped(s.buf, n.Data)
+		s.buf = append(append(append(s.buf, "</"...), n.Label...), '>')
+	default:
+		s.element(n)
+	}
+	s.flush()
+}
+
+// element appends an element: its open tag with the attribute children,
+// then its content and close tag, or "/>" when it has no content.
+func (s *serializer) element(n *Node) {
+	s.buf = append(append(s.buf, '<'), n.Label...)
+	hasContent := false
+	for _, c := range n.Children {
+		if c.Kind != AttributeNode {
+			hasContent = true
+			continue
+		}
+		s.buf = append(append(append(s.buf, ' '), c.Label...), `="`...)
+		s.buf = append(appendEscaped(s.buf, c.Data), '"')
+	}
+	if !hasContent {
+		s.buf = append(s.buf, "/>"...)
+		return
+	}
+	s.buf = append(s.buf, '>')
+	for _, c := range n.Children {
+		if c.Kind != AttributeNode {
+			s.node(c)
+		}
+	}
+	s.buf = append(append(append(s.buf, "</"...), n.Label...), '>')
+}
+
+// appendEscaped appends s to dst escaped exactly as encoding/xml.EscapeText
+// escapes it: the five markup characters, tab, newline and carriage
+// return as character references, and every invalid UTF-8 byte or rune
+// outside the XML character range as U+FFFD.
+func appendEscaped(dst []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); {
+		var esc string
+		c := s[i]
+		width := 1
+		if c < utf8.RuneSelf {
+			switch c {
+			case '"':
+				esc = "&#34;"
+			case '\'':
+				esc = "&#39;"
+			case '&':
+				esc = "&amp;"
+			case '<':
+				esc = "&lt;"
+			case '>':
+				esc = "&gt;"
+			case '\t':
+				esc = "&#x9;"
+			case '\n':
+				esc = "&#xA;"
+			case '\r':
+				esc = "&#xD;"
+			default:
+				if c < 0x20 {
+					esc = "\uFFFD"
+				}
+			}
+		} else {
+			var r rune
+			r, width = utf8.DecodeRuneInString(s[i:])
+			if r == utf8.RuneError && width == 1 || !inCharRange(r) {
+				esc = "\uFFFD"
+			}
+		}
+		if esc != "" {
+			dst = append(append(dst, s[last:i]...), esc...)
+			last = i + width
+		}
+		i += width
+	}
+	return append(dst, s[last:]...)
+}
+
+// inCharRange reports whether a non-ASCII rune is an XML Char.
+func inCharRange(r rune) bool {
+	return r <= 0xD7FF || r >= 0xE000 && r <= 0xFFFD || r >= 0x10000 && r <= 0x10FFFF
 }

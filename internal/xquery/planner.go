@@ -778,7 +778,7 @@ func (e *Engine) structuralDomain(prog *program, i int, cp *clausePlan, cur *env
 	nodes := nodeBuf[:0]
 	for _, name := range cp.partnerVars {
 		if val, ok := cur.lookup(name); ok && len(val) == 1 {
-			if ni, okn := val[0].(NodeItem); okn && e.docForNode(ni.Node) == cp.doc {
+			if ni, okn := val[0].(NodeItem); okn && cp.doc.Contains(ni.Node) {
 				nodes = append(nodes, ni.Node)
 			}
 		}

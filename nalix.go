@@ -581,10 +581,12 @@ func (e *Engine) queryWith(xq string, t *obs.Trace) (*Answer, error) {
 }
 
 func fill(ans *Answer, seq xquery.Sequence) {
+	var buf []byte // one rendering buffer, reused across the items
 	for _, it := range seq {
 		switch v := it.(type) {
 		case xquery.NodeItem:
-			ans.Results = append(ans.Results, xmldb.SerializeString(v.Node))
+			buf = xmldb.AppendXML(buf[:0], v.Node)
+			ans.Results = append(ans.Results, string(buf))
 		default:
 			ans.Results = append(ans.Results, xquery.AtomizeItem(it))
 		}
